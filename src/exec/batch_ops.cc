@@ -20,15 +20,28 @@ Status CheckCancelled(const std::atomic<bool>* cancel) {
 
 namespace {
 
+/// Output layout of a scan that keeps `columns` of `node`'s stored
+/// rows (all of them when nullopt).
+RowLayout ScanLayout(const PlanNode& node,
+                     const std::optional<storage::ColumnSelection>& columns) {
+  if (!columns.has_value()) return LayoutOf(node);
+  std::vector<AttrId> ids;
+  ids.reserve(columns->size());
+  for (uint32_t c : *columns) ids.push_back(node.outputs[c].id);
+  return RowLayout(std::move(ids));
+}
+
 class ScanOp : public BatchOp {
  public:
   ScanOp(const PlanNode* node, const std::vector<Row>* rows,
-         size_t batch_size, int64_t* rows_scanned)
+         std::optional<storage::ColumnSelection> columns, size_t batch_size,
+         int64_t* rows_scanned)
       : node_(node),
         rows_(rows),
+        columns_(std::move(columns)),
         batch_size_(batch_size),
         rows_scanned_(rows_scanned),
-        layout_(LayoutOf(*node)) {}
+        layout_(ScanLayout(*node, columns_)) {}
 
   Result<OptBatch> Next() override {
     if (offset_ >= rows_->size()) return OptBatch();
@@ -37,11 +50,14 @@ class ScanOp : public BatchOp {
     out.layout = layout_;
     out.rows.reserve(end - offset_);
     for (size_t i = offset_; i < end; ++i) {
-      if ((*rows_)[i].size() != layout_.size()) {
+      const Row& row = (*rows_)[i];
+      if (row.size() != node_->outputs.size()) {
         return Status::Internal("stored row width mismatch for table '" +
                                 node_->table + "'");
       }
-      out.rows.push_back((*rows_)[i]);
+      out.rows.push_back(columns_.has_value()
+                             ? storage::ProjectRow(row, *columns_)
+                             : row);
     }
     *rows_scanned_ += static_cast<int64_t>(out.rows.size());
     offset_ = end;
@@ -53,6 +69,7 @@ class ScanOp : public BatchOp {
  private:
   const PlanNode* node_;
   const std::vector<Row>* rows_;
+  const std::optional<storage::ColumnSelection> columns_;
   const size_t batch_size_;
   int64_t* rows_scanned_;
   RowLayout layout_;
@@ -75,14 +92,15 @@ double RowsByteSize(const std::vector<Row>& rows) {
 class DiskScanOp : public BatchOp {
  public:
   DiskScanOp(const PlanNode* node, TableStore::Cursor cursor,
-             size_t batch_size, int64_t* rows_scanned,
-             int64_t* storage_blocks_read)
+             RowLayout layout, size_t batch_size, const BatchOpEnv& env)
       : node_(node),
         cursor_(std::move(cursor)),
         batch_size_(batch_size),
-        rows_scanned_(rows_scanned),
-        storage_blocks_read_(storage_blocks_read),
-        layout_(LayoutOf(*node)) {}
+        rows_scanned_(env.rows_scanned),
+        storage_blocks_read_(env.storage_blocks_read),
+        storage_columns_read_(env.storage_columns_read),
+        storage_columns_skipped_(env.storage_columns_skipped),
+        layout_(std::move(layout)) {}
 
   Result<OptBatch> Next() override {
     while (true) {
@@ -98,10 +116,11 @@ class DiskScanOp : public BatchOp {
       }
       std::vector<Row> chunk;
       CGQ_ASSIGN_OR_RETURN(bool more, cursor_.Next(&chunk));
-      if (storage_blocks_read_ != nullptr) {
-        *storage_blocks_read_ += cursor_.blocks_read() - blocks_folded_;
-        blocks_folded_ = cursor_.blocks_read();
-      }
+      Fold(cursor_.blocks_read(), &blocks_folded_, storage_blocks_read_);
+      Fold(cursor_.columns_read(), &columns_read_folded_,
+           storage_columns_read_);
+      Fold(cursor_.columns_skipped(), &columns_skipped_folded_,
+           storage_columns_skipped_);
       if (!more) {
         drained_ = true;
         continue;
@@ -119,6 +138,12 @@ class DiskScanOp : public BatchOp {
   const RowLayout& layout() const override { return layout_; }
 
  private:
+  /// Adds the growth of a cursor counter since the last fold to `sink`.
+  static void Fold(int64_t now, int64_t* folded, int64_t* sink) {
+    if (sink != nullptr) *sink += now - *folded;
+    *folded = now;
+  }
+
   Result<OptBatch> TakeBatch() {
     size_t end = std::min(pos_ + batch_size_, buffer_.size());
     RowBatch out;
@@ -137,10 +162,14 @@ class DiskScanOp : public BatchOp {
   const size_t batch_size_;
   int64_t* rows_scanned_;
   int64_t* storage_blocks_read_;
+  int64_t* storage_columns_read_;
+  int64_t* storage_columns_skipped_;
   RowLayout layout_;
   std::vector<Row> buffer_;
   size_t pos_ = 0;
   int64_t blocks_folded_ = 0;
+  int64_t columns_read_folded_ = 0;
+  int64_t columns_skipped_folded_ = 0;
   bool drained_ = false;
 };
 
@@ -484,6 +513,45 @@ class UnionOp : public BatchOp {
   size_t current_ = 0;
 };
 
+/// Builds the scan of `node` keeping `columns` of its stored rows (all
+/// of them when nullopt). Both storage modes narrow the same way.
+Result<BatchOpPtr> BuildScanOp(
+    const PlanNode& node, const BatchOpEnv& env, size_t batch_size,
+    std::optional<storage::ColumnSelection> columns) {
+  RowLayout layout = ScanLayout(node, columns);
+  if (env.store->storage_mode() == StorageMode::kDisk) {
+    CGQ_ASSIGN_OR_RETURN(
+        TableStore::Cursor cursor,
+        env.store->Scan(node.scan_location, node.table, std::move(columns)));
+    return BatchOpPtr(new DiskScanOp(&node, std::move(cursor),
+                                     std::move(layout), batch_size, env));
+  }
+  CGQ_ASSIGN_OR_RETURN(const std::vector<Row>* rows,
+                       env.store->Get(node.scan_location, node.table));
+  return BatchOpPtr(new ScanOp(&node, rows, std::move(columns), batch_size,
+                               env.rows_scanned));
+}
+
+/// The stored-row positions a Project(Filter?(Scan)) chain reads: the
+/// projected attributes plus every attribute the filter's conjuncts
+/// reference, in base order.
+storage::ColumnSelection ProjectedScanColumns(const PlanNode& project,
+                                              const PlanNode* filter,
+                                              const PlanNode& scan) {
+  std::vector<AttrId> needed = project.project_ids;
+  if (filter != nullptr) {
+    for (const ExprPtr& c : filter->conjuncts) c->CollectAttrIds(&needed);
+  }
+  storage::ColumnSelection columns;
+  for (size_t i = 0; i < scan.outputs.size(); ++i) {
+    if (std::find(needed.begin(), needed.end(), scan.outputs[i].id) !=
+        needed.end()) {
+      columns.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return columns;
+}
+
 }  // namespace
 
 Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
@@ -496,25 +564,34 @@ Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
       }
       return env.ship_source(node);
     }
-    case PlanKind::kScan: {
-      if (env.store->storage_mode() == StorageMode::kDisk) {
-        CGQ_ASSIGN_OR_RETURN(TableStore::Cursor cursor,
-                             env.store->Scan(node.scan_location, node.table));
-        return BatchOpPtr(new DiskScanOp(&node, std::move(cursor),
-                                         batch_size, env.rows_scanned,
-                                         env.storage_blocks_read));
-      }
-      CGQ_ASSIGN_OR_RETURN(const std::vector<Row>* rows,
-                           env.store->Get(node.scan_location, node.table));
-      return BatchOpPtr(
-          new ScanOp(&node, rows, batch_size, env.rows_scanned));
-    }
+    case PlanKind::kScan:
+      return BuildScanOp(node, env, batch_size, std::nullopt);
     case PlanKind::kFilter: {
       CGQ_ASSIGN_OR_RETURN(BatchOpPtr child, BuildBatchOp(*node.child(0), env));
       return BatchOpPtr(new FilterOp(&node, std::move(child)));
     }
     case PlanKind::kProject: {
-      CGQ_ASSIGN_OR_RETURN(BatchOpPtr child, BuildBatchOp(*node.child(0), env));
+      // Project(Filter?(Scan)): the scan keeps only the columns the
+      // filter and the projection read. Every other shape scans full
+      // width.
+      const PlanNode* filter = nullptr;
+      const PlanNode* scan = node.child(0).get();
+      if (scan->kind() == PlanKind::kFilter) {
+        filter = scan;
+        scan = filter->child(0).get();
+      }
+      if (scan->kind() != PlanKind::kScan) {
+        CGQ_ASSIGN_OR_RETURN(BatchOpPtr child,
+                             BuildBatchOp(*node.child(0), env));
+        return ProjectOp::Make(&node, std::move(child));
+      }
+      CGQ_ASSIGN_OR_RETURN(
+          BatchOpPtr child,
+          BuildScanOp(*scan, env, batch_size,
+                      ProjectedScanColumns(node, filter, *scan)));
+      if (filter != nullptr) {
+        child = BatchOpPtr(new FilterOp(filter, std::move(child)));
+      }
       return ProjectOp::Make(&node, std::move(child));
     }
     case PlanKind::kJoin: {

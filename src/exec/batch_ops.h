@@ -49,6 +49,8 @@ struct BatchOpEnv {
   /// Storage accounting sinks (disk-mode scans and spilling joins add to
   /// them when non-null); must outlive the operator tree.
   int64_t* storage_blocks_read = nullptr;
+  int64_t* storage_columns_read = nullptr;
+  int64_t* storage_columns_skipped = nullptr;
   int64_t* spill_partitions = nullptr;
   int64_t* spill_bytes = nullptr;
   /// Per-query memory budget (ExecutorOptions::memory_budget_bytes):
@@ -63,6 +65,9 @@ struct BatchOpEnv {
 };
 
 /// Builds the batch-operator tree of one fragment rooted at `node`.
+/// A Project(Filter?(Scan)) chain scans only the columns the projection
+/// and the filter read (TableStore::Scan's column selection, in both
+/// storage modes); every other shape scans full width.
 /// `env` must outlive the construction call; the returned operators keep
 /// only the store/cancel/rows_scanned pointers, not `env` itself.
 Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env);

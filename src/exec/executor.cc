@@ -83,6 +83,7 @@ class PlanInterpreter {
         for (Row& r : chunk) out.rows.push_back(std::move(r));
       }
       metrics_->storage_blocks_read += cursor.blocks_read();
+      metrics_->storage_columns_read += cursor.columns_read();
     } else {
       CGQ_ASSIGN_OR_RETURN(const std::vector<Row>* rows,
                            store_->Get(node.scan_location, node.table));
@@ -329,8 +330,10 @@ std::string FormatExecMetrics(const ExecMetrics& metrics,
   }
   if (metrics.storage_blocks_read != 0 || metrics.spill_partitions != 0 ||
       metrics.spill_bytes != 0) {
-    os << "storage: " << metrics.storage_blocks_read
-       << " block(s) read, " << metrics.spill_partitions
+    os << "storage: " << metrics.storage_blocks_read << " block(s) read ("
+       << metrics.storage_columns_read << " column chunk(s) decoded, "
+       << metrics.storage_columns_skipped << " skipped), "
+       << metrics.spill_partitions
        << " spill partition(s), " << metrics.spill_bytes / 1024.0
        << " KB spilled\n";
   }

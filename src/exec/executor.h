@@ -122,9 +122,13 @@ struct ExecMetrics {
   int64_t fragment_restarts = 0;
   double backoff_ms = 0;
   /// Storage-engine accounting (all zero for in-memory fault-free runs):
-  /// checksummed data blocks streamed by disk-mode scans, and the
-  /// grace-hash-join spill volume under `memory_budget_bytes`.
+  /// checksummed data blocks streamed by disk-mode scans, their column
+  /// chunks decoded and skipped (a scan under a projection decodes only
+  /// the columns it keeps), and the grace-hash-join spill volume under
+  /// `memory_budget_bytes`.
   int64_t storage_blocks_read = 0;
+  int64_t storage_columns_read = 0;
+  int64_t storage_columns_skipped = 0;
   int64_t spill_partitions = 0;
   int64_t spill_bytes = 0;
   /// Largest hash-join build side seen, in estimated row bytes. Row

@@ -92,6 +92,8 @@ class ChannelSourceOp : public BatchOp {
 /// counts accumulate across restart attempts.
 struct StorageCounters {
   int64_t blocks_read = 0;
+  int64_t columns_read = 0;
+  int64_t columns_skipped = 0;
   int64_t spill_partitions = 0;
   int64_t spill_bytes = 0;
 };
@@ -113,6 +115,8 @@ Status RunFragment(const PlanFragment& fragment, RunState* st,
   env.cancel = st->options->cancel.get();
   env.rows_scanned = &fm->rows_scanned;
   env.storage_blocks_read = &sc->blocks_read;
+  env.storage_columns_read = &sc->columns_read;
+  env.storage_columns_skipped = &sc->columns_skipped;
   env.spill_partitions = &sc->spill_partitions;
   env.spill_bytes = &sc->spill_bytes;
   env.memory_budget_bytes = st->options->memory_budget_bytes;
@@ -283,6 +287,8 @@ Result<QueryResult> ExecuteFragmentedPlan(const PlanNode& plan,
   }
   for (const StorageCounters& sc : scounters) {
     m.storage_blocks_read += sc.blocks_read;
+    m.storage_columns_read += sc.columns_read;
+    m.storage_columns_skipped += sc.columns_skipped;
     m.spill_partitions += sc.spill_partitions;
     m.spill_bytes += sc.spill_bytes;
   }

@@ -193,14 +193,16 @@ Result<size_t> TableStore::FragmentRows(LocationId location,
   return it->second.size();
 }
 
-Result<TableStore::Cursor> TableStore::Scan(LocationId location,
-                                            const std::string& table) const {
+Result<TableStore::Cursor> TableStore::Scan(
+    LocationId location, const std::string& table,
+    std::optional<storage::ColumnSelection> columns) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string lowered = ToLower(table);
   Cursor cursor;
   if (engine_ != nullptr) {
     cursor.is_disk_ = true;
-    CGQ_ASSIGN_OR_RETURN(cursor.disk_, engine_->Scan(location, lowered));
+    CGQ_ASSIGN_OR_RETURN(cursor.disk_,
+                         engine_->Scan(location, lowered, std::move(columns)));
     CGQ_ASSIGN_OR_RETURN(cursor.total_rows_,
                          engine_->FragmentRows(location, lowered));
     return cursor;
@@ -210,7 +212,16 @@ Result<TableStore::Cursor> TableStore::Scan(LocationId location,
     return Status::NotFound("no fragment of table '" + table +
                             "' at location " + std::to_string(location));
   }
-  cursor.memory_rows_ = it->second;  // snapshot: stays valid past the lock
+  // Snapshot: stays valid past the lock.
+  if (columns.has_value()) {
+    CGQ_RETURN_NOT_OK(storage::ValidateSelection(*columns));
+    cursor.memory_rows_.reserve(it->second.size());
+    for (const Row& row : it->second) {
+      cursor.memory_rows_.push_back(storage::ProjectRow(row, *columns));
+    }
+  } else {
+    cursor.memory_rows_ = it->second;
+  }
   cursor.total_rows_ = cursor.memory_rows_.size();
   return cursor;
 }
@@ -231,6 +242,14 @@ Result<bool> TableStore::Cursor::Next(std::vector<Row>* out) {
 
 int64_t TableStore::Cursor::blocks_read() const {
   return is_disk_ ? disk_.blocks_read() : 0;
+}
+
+int64_t TableStore::Cursor::columns_read() const {
+  return is_disk_ ? disk_.columns_read() : 0;
+}
+
+int64_t TableStore::Cursor::columns_skipped() const {
+  return is_disk_ ? disk_.columns_skipped() : 0;
 }
 
 Status TableStore::AppendToColumns(const std::vector<Row>& rows, size_t width,

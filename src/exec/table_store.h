@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -98,6 +99,9 @@ class TableStore {
     Result<bool> Next(std::vector<Row>* out);
     /// Data blocks read so far (0 in memory mode).
     int64_t blocks_read() const;
+    /// Block column chunks decoded / skipped so far (0 in memory mode).
+    int64_t columns_read() const;
+    int64_t columns_skipped() const;
     /// Total rows this cursor will yield.
     size_t total_rows() const { return total_rows_; }
 
@@ -109,7 +113,12 @@ class TableStore {
     storage::StorageEngine::Cursor disk_;
     size_t total_rows_ = 0;
   };
-  Result<Cursor> Scan(LocationId location, const std::string& table) const;
+  /// With `columns` (strictly increasing stored-row positions) the
+  /// cursor yields rows narrowed to those columns, in stored order, in
+  /// both modes; disk mode then decodes only those column chunks.
+  Result<Cursor> Scan(LocationId location, const std::string& table,
+                      std::optional<storage::ColumnSelection> columns =
+                          std::nullopt) const;
 
   /// The fragment in columnar form (one immutable column per stored-row
   /// position), converted on first use and cached until the fragment is

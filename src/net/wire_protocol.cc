@@ -3,6 +3,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/checksum.h"
+
 namespace cgq {
 namespace wire {
 
@@ -59,8 +61,8 @@ std::string EncodeFrame(FrameType type, const std::string& payload) {
   AppendLe(&out, static_cast<uint16_t>(type), 2);
   AppendLe(&out, static_cast<uint32_t>(payload.size()), 4);
   AppendLe(&out,
-           Fnv1a(reinterpret_cast<const uint8_t*>(payload.data()),
-                 payload.size()),
+           Checksum64(reinterpret_cast<const uint8_t*>(payload.data()),
+                      payload.size()),
            8);
   out.append(payload);
   return out;
@@ -96,7 +98,7 @@ Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t len) {
 }
 
 Status VerifyPayload(const FrameHeader& header, const uint8_t* payload) {
-  if (Fnv1a(payload, header.payload_len) != header.checksum) {
+  if (Checksum64(payload, header.payload_len) != header.checksum) {
     return Status::InvalidArgument("frame checksum mismatch");
   }
   return Status::OK();
@@ -385,7 +387,24 @@ Result<RowBatch> Reader::ReadBatch() {
   return batch;
 }
 
+Status Reader::Descend() {
+  if (depth_ >= kMaxNestingDepth) {
+    return Status::InvalidArgument(
+        "payload nests deeper than " + std::to_string(kMaxNestingDepth) +
+        " plan/expression levels");
+  }
+  ++depth_;
+  return Status::OK();
+}
+
 Result<ExprPtr> Reader::ReadExpr() {
+  CGQ_RETURN_NOT_OK(Descend());
+  Result<ExprPtr> e = ReadExprNode();
+  --depth_;
+  return e;
+}
+
+Result<ExprPtr> Reader::ReadExprNode() {
   CGQ_ASSIGN_OR_RETURN(uint8_t tag, U8());
   switch (tag) {
     case 0: {
@@ -476,6 +495,13 @@ Result<std::vector<OutputCol>> ReadOutputs(Reader* r) {
 }  // namespace
 
 Result<PlanNodePtr> Reader::ReadPlan(std::vector<int>* input_channels) {
+  CGQ_RETURN_NOT_OK(Descend());
+  Result<PlanNodePtr> node = ReadPlanNode(input_channels);
+  --depth_;
+  return node;
+}
+
+Result<PlanNodePtr> Reader::ReadPlanNode(std::vector<int>* input_channels) {
   CGQ_ASSIGN_OR_RETURN(uint8_t kind_tag, U8());
   if (kind_tag > static_cast<uint8_t>(PlanKind::kShip)) {
     return Status::InvalidArgument("bad plan kind " +

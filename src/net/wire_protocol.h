@@ -22,14 +22,16 @@ namespace wire {
 ///        4     2  version   protocol version (kVersion)
 ///        6     2  type      FrameType
 ///        8     4  len       payload length in bytes
-///       12     8  checksum  FNV-1a over the payload bytes
+///       12     8  checksum  Checksum64 (XXH64) over the payload bytes
 ///       20   len  payload
 ///
 /// All integers are little-endian; doubles travel as their IEEE-754 bit
 /// pattern (lossless); strings as u32 length + bytes. The encoding is
 /// byte-stable across platforms — the golden tests pin exact frames.
 inline constexpr uint32_t kMagic = 0x57514743u;
-inline constexpr uint16_t kVersion = 1;
+/// v2: payload checksum is Checksum64 (v1 used FNV-1a). A v1 peer's
+/// HELLO is refused with kUnsupported by DecodeFrameHeader.
+inline constexpr uint16_t kVersion = 2;
 inline constexpr size_t kHeaderSize = 20;
 /// Upper bound on one payload; larger frames are rejected as corrupt
 /// before any allocation happens (a resource guard against garbage
@@ -54,7 +56,9 @@ enum class FrameType : uint16_t {
 
 const char* FrameTypeToString(FrameType type);
 
-/// FNV-1a over `len` bytes (the payload checksum function).
+/// FNV-1a over `len` bytes. Not a frame checksum (frames use
+/// Checksum64); kept as the result-digest hash of `cgq_coord`, whose
+/// printed digests are compared across runs and releases.
 uint64_t Fnv1a(const uint8_t* data, size_t len);
 
 /// Decoded frame header. `type` is left as raw u16 so unknown types can
@@ -110,6 +114,9 @@ class Writer {
 
 /// Bounds-checked little-endian decoder; every read fails with
 /// kInvalidArgument on truncation (never reads past the payload).
+/// ReadExpr/ReadPlan recurse once per nesting level; a payload nesting
+/// deeper than kMaxNestingDepth (plan and expression levels together)
+/// is kInvalidArgument, so a hostile frame cannot exhaust the stack.
 class Reader {
  public:
   Reader(const uint8_t* data, size_t len) : data_(data), len_(len) {}
@@ -137,12 +144,22 @@ class Reader {
   bool AtEnd() const { return pos_ >= len_; }
   size_t remaining() const { return len_ - pos_; }
 
+  /// Far above any plan the optimizer emits (fragments nest a few
+  /// dozen operators; expressions a few dozen levels) and far below
+  /// what a worker thread's stack holds.
+  static constexpr int kMaxNestingDepth = 1024;
+
  private:
   Status Need(size_t n);
+  /// Enters one nesting level; kInvalidArgument past the budget.
+  Status Descend();
+  Result<ExprPtr> ReadExprNode();
+  Result<PlanNodePtr> ReadPlanNode(std::vector<int>* input_channels);
 
   const uint8_t* data_;
   size_t len_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 // --- Typed payloads -------------------------------------------------------

@@ -78,8 +78,28 @@ class Parser {
                                    std::to_string(Peek().offset));
   }
 
+  // Nesting budget. Parentheses, NOT and unary-minus chains and
+  // subqueries each recurse once per level; past kMaxNesting the parse
+  // is kInvalidArgument instead of a stack overflow. Far above any
+  // real query, far below what a service worker's stack holds.
+  static constexpr int kMaxNesting = 256;
+  struct Nest {
+    explicit Nest(int* d) : depth(d) { ++*depth; }
+    ~Nest() { --*depth; }
+    int* depth;
+  };
+  Status CheckNesting() const {
+    if (depth_ < kMaxNesting) return Status::OK();
+    return Err("query nests deeper than " + std::to_string(kMaxNesting) +
+               " levels");
+  }
+
   // Expression grammar (loosest to tightest binding).
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    CGQ_RETURN_NOT_OK(CheckNesting());
+    Nest nest(&depth_);
+    return ParseOr();
+  }
   Result<ExprPtr> ParseOr();
   Result<ExprPtr> ParseAnd();
   Result<ExprPtr> ParseNot();
@@ -103,6 +123,8 @@ class Parser {
 
   // Parses "(SELECT ...)" after the '(' was consumed.
   Result<std::shared_ptr<QueryAst>> ParseSubquery() {
+    CGQ_RETURN_NOT_OK(CheckNesting());
+    Nest nest(&depth_);
     auto inner = std::make_shared<QueryAst>();
     CGQ_RETURN_NOT_OK(ParseQueryBody(inner.get()));
     CGQ_RETURN_NOT_OK(Expect(TokenType::kRParen, "')' after subquery"));
@@ -117,6 +139,7 @@ class Parser {
   // is exactly the order ParameterizeSql() extracts them in.
   bool tag_literals_ = false;
   int next_param_ordinal_ = 0;
+  int depth_ = 0;
 };
 
 Result<ExprPtr> Parser::ParseOr() {
@@ -139,6 +162,8 @@ Result<ExprPtr> Parser::ParseAnd() {
 
 Result<ExprPtr> Parser::ParseNot() {
   if (MatchIdent("not")) {
+    CGQ_RETURN_NOT_OK(CheckNesting());
+    Nest nest(&depth_);
     CGQ_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
     return Expr::Unary(ExprOp::kNot, inner);
   }
@@ -280,6 +305,8 @@ Result<ExprPtr> Parser::ParseMultiplicative() {
 
 Result<ExprPtr> Parser::ParseUnary() {
   if (Match(TokenType::kMinus)) {
+    CGQ_RETURN_NOT_OK(CheckNesting());
+    Nest nest(&depth_);
     CGQ_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
     // Fold negated numeric literals so -5 stays a literal (range
     // estimation and the implication test rely on column-vs-literal form).

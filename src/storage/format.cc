@@ -1,10 +1,16 @@
 #include "storage/format.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "common/checksum.h"
 #include "net/wire_protocol.h"
 
 namespace cgq {
@@ -24,6 +30,12 @@ std::string MagicName(uint32_t magic) {
   return "frame";
 }
 
+/// The checksum seed binds the header fields the payload length and
+/// checksum do not already pin.
+uint64_t FrameSeed(uint32_t magic, uint16_t version, uint16_t type) {
+  return uint64_t{magic} | (uint64_t{version} << 32) | (uint64_t{type} << 48);
+}
+
 }  // namespace
 
 Result<std::string> EncodeFileFrame(uint32_t magic, uint16_t type,
@@ -39,8 +51,8 @@ Result<std::string> EncodeFileFrame(uint32_t magic, uint16_t type,
   w.PutU16(kFormatVersion);
   w.PutU16(type);
   w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutU64(wire::Fnv1a(reinterpret_cast<const uint8_t*>(payload.data()),
-                       payload.size()));
+  w.PutU64(Checksum64(reinterpret_cast<const uint8_t*>(payload.data()),
+                      payload.size(), FrameSeed(magic, kFormatVersion, type)));
   std::string frame = w.Take();
   frame += payload;
   return frame;
@@ -61,16 +73,18 @@ Result<FileFrameHeader> DecodeFileFrameHeader(uint32_t magic,
                             }());
   }
   FileFrameHeader header;
+  header.magic = got_magic;
   CGQ_ASSIGN_OR_RETURN(header.version, r.U16());
   CGQ_ASSIGN_OR_RETURN(header.type, r.U16());
   CGQ_ASSIGN_OR_RETURN(header.payload_len, r.U32());
   CGQ_ASSIGN_OR_RETURN(header.checksum, r.U64());
-  if (header.version > kFormatVersion) {
+  if (header.version != kFormatVersion) {
     return Status::Unsupported(what + ": " + MagicName(magic) +
                                " format version " +
                                std::to_string(header.version) +
-                               " is newer than " +
-                               std::to_string(kFormatVersion));
+                               " is not supported (this build reads "
+                               "version " +
+                               std::to_string(kFormatVersion) + ")");
   }
   if (header.payload_len > kMaxFrameBytes) {
     return Status::DataLoss(what + ": " + MagicName(magic) + " claims " +
@@ -83,7 +97,9 @@ Result<FileFrameHeader> DecodeFileFrameHeader(uint32_t magic,
 
 Status VerifyFilePayload(const FileFrameHeader& header, const uint8_t* payload,
                          const std::string& what) {
-  uint64_t got = wire::Fnv1a(payload, header.payload_len);
+  uint64_t got =
+      Checksum64(payload, header.payload_len,
+                 FrameSeed(header.magic, header.version, header.type));
   if (got != header.checksum) {
     return Status::DataLoss(what + ": checksum mismatch (stored " +
                             std::to_string(header.checksum) + ", computed " +
@@ -93,16 +109,37 @@ Status VerifyFilePayload(const FileFrameHeader& header, const uint8_t* payload,
 }
 
 Result<std::string> ReadFile(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) {
-    return Status::NotFound(path + ": no such file");
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    const int err = errno;
+    if (err == ENOENT) return Status::NotFound(path + ": no such file");
+    return Status::Unavailable(path + ": open failed: " +
+                               std::strerror(err));
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::Unavailable(path + ": open failed");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return Status::Unavailable(path + ": read failed");
-  return buf.str();
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::Unavailable(path + ": stat failed: " +
+                               std::strerror(err));
+  }
+  std::string bytes(static_cast<size_t>(st.st_size), '\0');
+  size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0) {
+      const int err = errno;
+      if (err == EINTR) continue;
+      ::close(fd);
+      return Status::Unavailable(path + ": read failed: " +
+                                 std::strerror(err));
+    }
+    if (n == 0) break;  // shrank since fstat: return what is there
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(got);
+  return bytes;
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {

@@ -20,11 +20,12 @@ namespace storage {
 ///        6     2  type      artifact-specific (block flags, WAL record
 ///                           type, 0 for manifests)
 ///        8     4  len       payload length in bytes
-///       12     8  checksum  FNV-1a over the payload bytes
+///       12     8  checksum  Checksum64 (XXH64) over the payload bytes,
+///                           seeded with magic, version and type
 ///       20   len  payload
 ///
-/// All integers little-endian via wire::Writer/Reader, so the encoding is
-/// byte-stable across platforms. A checksum mismatch on a complete frame
+/// All integers little-endian, so the encoding is byte-stable across
+/// platforms. A checksum mismatch on a complete frame
 /// is typed kDataLoss; a frame cut short at end-of-file is *torn* and the
 /// caller decides (clean replay stop for the commit-log tail, kDataLoss
 /// for blocks and manifests, which are only referenced once fully
@@ -32,13 +33,17 @@ namespace storage {
 inline constexpr uint32_t kBlockMagic = 0x42514743u;     // "CGQB"
 inline constexpr uint32_t kWalMagic = 0x4C514743u;       // "CGQL"
 inline constexpr uint32_t kManifestMagic = 0x4D514743u;  // "CGQM"
-inline constexpr uint16_t kFormatVersion = 1;
+/// Version 2: Checksum64 frames and column-directory blocks (block.h).
+/// Version-1 files (FNV-1a frames, directory-less blocks) are refused
+/// with kUnsupported; no code path decodes them.
+inline constexpr uint16_t kFormatVersion = 2;
 inline constexpr size_t kFrameHeaderSize = 20;
 /// Resource guard against garbage length prefixes (far above any frame
 /// the engine writes: blocks target ~256 KiB, WAL records are chunked).
 inline constexpr uint32_t kMaxFrameBytes = 1u << 30;
 
 struct FileFrameHeader {
+  uint32_t magic = 0;
   uint16_t version = 0;
   uint16_t type = 0;
   uint32_t payload_len = 0;
@@ -55,16 +60,18 @@ Result<std::string> EncodeFileFrame(uint32_t magic, uint16_t type,
 
 /// Parses a header from exactly kFrameHeaderSize bytes. Wrong magic or
 /// an over-limit length is kDataLoss (`what` names the artifact in the
-/// message); a version from the future is kUnsupported.
+/// message); any version other than kFormatVersion is kUnsupported.
 Result<FileFrameHeader> DecodeFileFrameHeader(uint32_t magic,
                                               const uint8_t* data, size_t len,
                                               const std::string& what);
 
-/// Verifies the payload checksum; kDataLoss on mismatch.
+/// Verifies the payload checksum; kDataLoss on mismatch (a flipped bit
+/// in the type field mismatches too: it is part of the seed).
 Status VerifyFilePayload(const FileFrameHeader& header, const uint8_t* payload,
                          const std::string& what);
 
-/// Reads a whole file; kNotFound when absent, kUnavailable on I/O error.
+/// Reads a whole file with one sized read; kNotFound when absent,
+/// kUnavailable on I/O error.
 Result<std::string> ReadFile(const std::string& path);
 
 /// Writes a whole file via `<path>.tmp` + rename, so readers never see a

@@ -399,7 +399,9 @@ size_t StorageEngine::TotalRows() const {
 }
 
 Result<StorageEngine::Cursor> StorageEngine::Scan(
-    LocationId location, const std::string& table) const {
+    LocationId location, const std::string& table,
+    std::optional<ColumnSelection> columns) const {
+  if (columns.has_value()) CGQ_RETURN_NOT_OK(ValidateSelection(*columns));
   auto it = fragments_.find({location, table});
   if (it == fragments_.end()) {
     return Status::NotFound("no fragment of '" + table + "' at location " +
@@ -408,7 +410,16 @@ Result<StorageEngine::Cursor> StorageEngine::Scan(
   Cursor cursor;
   cursor.dir_ = dir_;
   cursor.blocks_ = it->second.blocks;
-  cursor.tail_ = it->second.tail;
+  const std::vector<Row>& tail = it->second.tail;
+  if (columns.has_value()) {
+    cursor.tail_.reserve(tail.size());
+    for (const Row& row : tail) {
+      cursor.tail_.push_back(ProjectRow(row, *columns));
+    }
+  } else {
+    cursor.tail_ = tail;
+  }
+  cursor.columns_ = std::move(columns);
   return cursor;
 }
 
@@ -422,7 +433,11 @@ Result<bool> StorageEngine::Cursor::Next(std::vector<Row>* out) {
       return Status::DataLoss(path + ": live block file missing");
     }
     CGQ_ASSIGN_OR_RETURN(std::string raw, std::move(bytes));
-    CGQ_ASSIGN_OR_RETURN(*out, DecodeBlockFile(raw, path));
+    BlockReadStats stats;
+    CGQ_ASSIGN_OR_RETURN(
+        *out, DecodeBlockFile(raw, path,
+                              columns_.has_value() ? &*columns_ : nullptr,
+                              &stats));
     if (out->size() != block.rows) {
       return Status::DataLoss(path + ": block holds " +
                               std::to_string(out->size()) +
@@ -430,7 +445,11 @@ Result<bool> StorageEngine::Cursor::Next(std::vector<Row>* out) {
                               std::to_string(block.rows));
     }
     ++blocks_read_;
+    stats_.columns_read += stats.columns_read;
+    stats_.columns_skipped += stats.columns_skipped;
     CGQ_COUNTER_ADD("storage.blocks_read", 1);
+    CGQ_COUNTER_ADD("storage.columns_read", stats.columns_read);
+    CGQ_COUNTER_ADD("storage.columns_skipped", stats.columns_skipped);
     return true;
   }
   if (!tail_done_) {

@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "catalog/location.h"
 #include "common/result.h"
+#include "storage/block.h"
 #include "storage/manifest.h"
 #include "storage/wal.h"
 #include "types/value.h"
@@ -88,17 +90,29 @@ class StorageEngine {
     /// fragment is exhausted. Block corruption is typed kDataLoss.
     Result<bool> Next(std::vector<Row>* out);
     int64_t blocks_read() const { return blocks_read_; }
+    /// Column chunks decoded / verified but skipped so far.
+    int64_t columns_read() const { return stats_.columns_read; }
+    int64_t columns_skipped() const { return stats_.columns_skipped; }
 
    private:
     friend class StorageEngine;
     std::string dir_;
+    std::optional<ColumnSelection> columns_;
     std::vector<ManifestBlock> blocks_;
     std::vector<Row> tail_;
     size_t next_block_ = 0;
     bool tail_done_ = false;
     int64_t blocks_read_ = 0;
+    BlockReadStats stats_;
   };
-  Result<Cursor> Scan(LocationId location, const std::string& table) const;
+  /// With `columns` (strictly increasing base positions, else
+  /// kInvalidArgument) every row the cursor yields — block rows and
+  /// unflushed tail rows alike — holds just those columns, in base
+  /// order, and blocks decode only those column chunks. Each opened
+  /// block is still checksum-verified over its whole payload.
+  Result<Cursor> Scan(LocationId location, const std::string& table,
+                      std::optional<ColumnSelection> columns =
+                          std::nullopt) const;
 
   /// Reads a whole fragment into *out (the disk -> RAM migration path).
   Status ReadAll(LocationId location, const std::string& table,

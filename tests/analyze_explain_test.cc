@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "common/trace.h"
 #include "core/engine.h"
 #include "core/explain.h"
 #include "exec/analyze.h"
+#include "tpch/tpch.h"
 
 namespace cgq {
 namespace {
@@ -149,6 +153,58 @@ TEST_F(ExplainTest, ViolationIsFlaggedInProvenance) {
                                            engine_->catalog().locations());
     EXPECT_NE(report.find("VIOLATION"), std::string::npos) << report;
   }
+}
+
+// A disk-mode fragment run of TPC-H Q3 decodes only the columns its
+// scans' projections and filters read: the skipped column chunks show on
+// the storage footer line and in the process registry.
+TEST(ExplainAnalyzeStorage, DiskFragmentRunSkipsColumns) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto catalog = tpch::BuildCatalog(config);
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  Engine engine(std::move(*catalog), NetworkModel::DefaultGeo(5));
+  ASSERT_TRUE(tpch::InstallPolicySet("CR", &engine.policies()).ok());
+  ASSERT_TRUE(
+      tpch::GenerateData(engine.catalog(), config, &engine.store()).ok());
+  auto sql = tpch::Query(3);
+  ASSERT_TRUE(sql.ok());
+  engine.set_exec_mode(ExecMode::kFragment);
+  auto memory = engine.Run(*sql);
+  ASSERT_TRUE(memory.ok()) << memory.status();
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "cgq-explain-columns")
+          .string();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  ASSERT_TRUE(engine.store().EnableDiskStorage(dir).ok());
+  const int64_t skipped_before =
+      MetricsRegistry::Value("storage.columns_skipped");
+  auto disk = engine.Run(*sql);
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  const ExecMetrics& m = disk->metrics;
+  EXPECT_GT(m.storage_blocks_read, 0);
+  EXPECT_GT(m.storage_columns_read, 0);
+  EXPECT_GT(m.storage_columns_skipped, 0);
+  ASSERT_EQ(disk->rows.size(), memory->rows.size());
+  for (size_t i = 0; i < disk->rows.size(); ++i) {
+    EXPECT_TRUE(RowsStructurallyEqual(disk->rows[i], memory->rows[i])) << i;
+  }
+  const std::string footer = FormatExecMetrics(m, nullptr);
+  EXPECT_NE(footer.find(std::to_string(m.storage_columns_skipped) +
+                        " skipped"),
+            std::string::npos)
+      << footer;
+#ifdef CGQ_TRACING
+  EXPECT_EQ(MetricsRegistry::Value("storage.columns_skipped") -
+                skipped_before,
+            m.storage_columns_skipped);
+#else
+  (void)skipped_before;
+#endif
+  ASSERT_TRUE(engine.store().DisableDiskStorage().ok());
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

@@ -142,6 +142,35 @@ TEST(SiteServerTest, VersionSkewRefusedTyped) {
   server.Stop();
 }
 
+// A peer of wire version 1 (FNV-1a frame checksums) sends a complete,
+// well-formed HELLO of its own version: refused with the typed error.
+TEST(SiteServerTest, VersionOnePeerRefusedTyped) {
+  SiteServer server(Hosting({0}));
+  ASSERT_TRUE(server.Start().ok());
+  auto sock = DialRaw(server.port());
+  ASSERT_TRUE(sock.ok());
+
+  const uint8_t payload[] = {0x01, 0x00};  // Hello{version 1}
+  wire::Writer w;
+  w.PutU32(wire::kMagic);
+  w.PutU16(1);
+  w.PutU16(static_cast<uint16_t>(wire::FrameType::kHello));
+  w.PutU32(sizeof(payload));
+  w.PutU64(wire::Fnv1a(payload, sizeof(payload)));
+  w.PutU8(payload[0]);
+  w.PutU8(payload[1]);
+  ASSERT_TRUE(sock->SendAll(w.buffer().data(), w.buffer().size(), kIoMs)
+                  .ok());
+
+  auto frame = RecvFrame(*sock, kIoMs);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  ASSERT_EQ(frame->type, wire::FrameType::kError);
+  auto err = wire::ErrorMsg::Decode(frame->payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_TRUE(err->ToStatus().IsUnsupported()) << err->ToStatus();
+  server.Stop();
+}
+
 TEST(SiteServerTest, BadMagicDropsConnection) {
   SiteServer server(Hosting({0}));
   ASSERT_TRUE(server.Start().ok());

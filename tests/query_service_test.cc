@@ -145,6 +145,29 @@ TEST_F(QueryServiceTest, QueueWaitTimesOutWithResourceExhausted) {
   EXPECT_TRUE(sr.status().IsCancelled()) << sr.status();
 }
 
+// Any tenant reaches the parser through Submit; a WHERE clause of 10^5
+// nested parentheses must come back as a typed error, and the service
+// must keep serving afterwards.
+TEST_F(QueryServiceTest, DeeplyNestedQueryIsInvalidArgument) {
+  QueryService service(engine_.get(), ServiceOptions());
+  QueryService::Session session = service.OpenSession();
+  constexpr int kDepth = 100000;
+  const std::string sql = "SELECT name FROM region WHERE " +
+                          std::string(kDepth, '(') + "regionkey = 1" +
+                          std::string(kDepth, ')');
+  auto ticket = session.Submit(sql);
+  if (ticket.ok()) {
+    auto r = session.Wait(*ticket);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  } else {
+    EXPECT_TRUE(ticket.status().IsInvalidArgument()) << ticket.status();
+  }
+  auto after = session.Run("SELECT name FROM region");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->rows.size(), 5u);
+}
+
 TEST_F(QueryServiceTest, FullQueueRejectsSubmit) {
   ServiceOptions sopts;
   sopts.max_inflight = 1;

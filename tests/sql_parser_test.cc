@@ -158,6 +158,47 @@ TEST(ParserTest, NegativeNumbers) {
   EXPECT_EQ(r->where->op(), ExprOp::kGt);
 }
 
+// Each nesting level recurses in the parser; 10^5 of them used to
+// overflow the stack. Past the budget the parse is a typed error.
+TEST(ParserTest, DeeplyNestedParenthesesAreInvalidArgument) {
+  constexpr int kDepth = 100000;
+  const std::string sql = "SELECT a FROM t WHERE " + std::string(kDepth, '(') +
+                          "a = 1" + std::string(kDepth, ')');
+  auto r = ParseQuery(sql);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  EXPECT_NE(r.status().message().find("nests deeper"), std::string::npos);
+}
+
+TEST(ParserTest, DeeplyNestedNotAndMinusAreInvalidArgument) {
+  constexpr int kDepth = 100000;
+  std::string nots;
+  std::string minuses;
+  for (int i = 0; i < kDepth; ++i) {
+    nots += "NOT ";
+    minuses += "- ";
+  }
+  auto r = ParseQuery("SELECT a FROM t WHERE " + nots + "a = 1");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  r = ParseQuery("SELECT a FROM t WHERE a = " + minuses + "1");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+}
+
+TEST(ParserTest, ModerateNestingStillParses) {
+  constexpr int kDepth = 100;
+  auto r = ParseQuery("SELECT a FROM t WHERE " + std::string(kDepth, '(') +
+                      "a = 1" + std::string(kDepth, ')'));
+  ASSERT_TRUE(r.ok()) << r.status();
+  // The budget is per nesting level, not per query: long flat chains
+  // are unaffected.
+  std::string chain = "a = 1";
+  for (int i = 0; i < 1000; ++i) chain += " OR a = 1";
+  r = ParseQuery("SELECT a FROM t WHERE " + chain);
+  ASSERT_TRUE(r.ok()) << r.status();
+}
+
 TEST(PolicyParserTest, BasicExpression) {
   auto r = ParsePolicyExpression(
       "ship custkey, name from Customer C to Asia, Europe");

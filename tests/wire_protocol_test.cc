@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "exec/fragmenter.h"
 #include "gtest/gtest.h"
 #include "plan/plan_node.h"
@@ -33,10 +34,10 @@ Result<FrameHeader> Header(const std::string& frame) {
 TEST(WireFrame, GoldenHelloFrame) {
   std::string frame = EncodeFrame(FrameType::kHello, Hello().Encode());
   ASSERT_EQ(frame.size(), kHeaderSize + 2);
-  // Header: magic "CGQW", version 1, type 1, len 2, FNV-1a of {01 00}.
+  // Header: magic "CGQW", version 2, type 1, len 2, Checksum64 of {02 00}.
   const std::vector<uint8_t> expected_prefix = {
       'C',  'G',  'Q',  'W',        // magic, little-endian 0x57514743
-      0x01, 0x00,                   // version 1
+      0x02, 0x00,                   // version 2
       0x01, 0x00,                   // type kHello
       0x02, 0x00, 0x00, 0x00,       // payload length 2
   };
@@ -44,14 +45,14 @@ TEST(WireFrame, GoldenHelloFrame) {
   for (size_t i = 0; i < expected_prefix.size(); ++i) {
     EXPECT_EQ(actual[i], expected_prefix[i]) << "byte " << i;
   }
-  // Checksum bytes 12..19: FNV-1a over payload {0x01, 0x00}.
-  const uint8_t payload[] = {0x01, 0x00};
-  uint64_t sum = Fnv1a(payload, 2);
+  // Checksum bytes 12..19: Checksum64 (seed 0) over payload {0x02, 0x00}.
+  const uint8_t payload[] = {0x02, 0x00};
+  uint64_t sum = Checksum64(payload, 2);
   for (size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(actual[12 + i], static_cast<uint8_t>((sum >> (8 * i)) & 0xff));
   }
-  // Payload itself.
-  EXPECT_EQ(actual[20], 0x01);
+  // Payload itself: the protocol version the client speaks.
+  EXPECT_EQ(actual[20], 0x02);
   EXPECT_EQ(actual[21], 0x00);
 }
 
@@ -77,6 +78,37 @@ TEST(WireFrame, KnownFnv1aVector) {
   const uint8_t a[] = {'a'};
   EXPECT_EQ(Fnv1a(a, 1), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(Fnv1a(nullptr, 0), 14695981039346656037ull);
+}
+
+TEST(WireFrame, KnownChecksum64Vectors) {
+  // Published XXH64 (seed 0) test vectors; the 39-byte one runs the
+  // four-lane 32-byte rounds, the shorter ones only the tail steps.
+  auto sum = [](const std::string& s) {
+    return Checksum64(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+  };
+  EXPECT_EQ(Checksum64(nullptr, 0), 0xef46db3751d8e999ull);
+  EXPECT_EQ(sum("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(sum("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(sum("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+  // A seed changes the result (storage frames seed with their header).
+  EXPECT_NE(Checksum64(nullptr, 0, 1), Checksum64(nullptr, 0));
+}
+
+TEST(WireFrame, VersionOnePeerIsUnsupported) {
+  // A v1 peer's HELLO: same header shape, version 1, FNV-1a checksum.
+  Writer payload;
+  payload.PutU16(1);
+  Writer w;
+  w.PutU32(kMagic);
+  w.PutU16(1);
+  w.PutU16(static_cast<uint16_t>(FrameType::kHello));
+  w.PutU32(2);
+  w.PutU64(Fnv1a(Data(payload.buffer()), 2));
+  std::string frame = w.Take() + payload.buffer();
+  auto h = Header(frame);
+  ASSERT_FALSE(h.ok());
+  EXPECT_TRUE(h.status().IsUnsupported()) << h.status();
 }
 
 TEST(WireFrame, HeaderRejectsBadMagic) {
@@ -343,6 +375,61 @@ TEST(WireRoundTrip, PlanFragmentWithShipLeaf) {
       CheckFragmentPlacement(decoded->fragment_id, /*site=*/3,
                              droot.exec_trait, nullptr)
           .ok());
+}
+
+// A hostile peer can nest far deeper than any real plan within the
+// frame cap: 10^5 NOT nodes are 200 KB. The decoder must refuse with a
+// typed error, not recurse until the stack runs out.
+TEST(WireDepthBudget, DeeplyNestedExpressionIsInvalidArgument) {
+  constexpr int kDepth = 100000;
+  std::string payload;
+  for (int i = 0; i < kDepth; ++i) {
+    payload.push_back(2);  // unary tag
+    payload.push_back(static_cast<char>(ExprOp::kNot));
+  }
+  Writer leaf;
+  leaf.PutExpr(*Expr::Literal(Value::Int64(1)));
+  payload += leaf.buffer();
+  Reader r(payload);
+  auto decoded = r.ReadExpr();
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsInvalidArgument()) << decoded.status();
+  EXPECT_NE(decoded.status().message().find("nests deeper"),
+            std::string::npos);
+}
+
+TEST(WireDepthBudget, DeeplyNestedPlanIsInvalidArgument) {
+  // 10^5 single-child UNION nodes inside a START_FRAGMENT payload.
+  constexpr int kDepth = 100000;
+  Writer node;
+  node.PutU8(static_cast<uint8_t>(PlanKind::kUnion));
+  node.PutU32(0);  // location
+  node.PutU64(0);  // exec trait
+  node.PutU64(0);  // ship trait
+  node.PutU32(0);  // no outputs
+  node.PutU32(1);  // one child
+  Writer head;
+  head.PutI32(1);   // fragment id
+  head.PutU32(0);   // site
+  head.PutU32(64);  // batch size
+  head.PutU8(0);    // no output ship
+  head.PutU32(0);
+  head.PutU64(0);
+  std::string payload = head.Take();
+  payload.reserve(payload.size() + node.buffer().size() * kDepth);
+  for (int i = 0; i < kDepth; ++i) payload += node.buffer();
+  auto decoded = StartFragment::Decode(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsInvalidArgument()) << decoded.status();
+
+  // Nesting within the budget still decodes.
+  std::string ok_payload;
+  for (int i = 0; i < 10; ++i) ok_payload += node.buffer();
+  ok_payload[ok_payload.size() - 4] = 0;  // the innermost has no child
+  Reader r(ok_payload);
+  auto plan = r.ReadPlan(nullptr);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST(WireRoundTrip, EveryFrameTypeHasAName) {
