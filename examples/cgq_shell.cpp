@@ -114,8 +114,7 @@ void PrintTenantCounters(QueryService& service) {
 namespace {
 
 // Builds a fresh engine from a deployment file (see catalog/deployment.h).
-Result<std::unique_ptr<Engine>> EngineFromFile(const std::string& path,
-                                               PolicyIndexMode index_mode) {
+Result<std::unique_ptr<Engine>> EngineFromFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound("cannot open '" + path + "'");
   std::stringstream buffer;
@@ -124,7 +123,6 @@ Result<std::unique_ptr<Engine>> EngineFromFile(const std::string& path,
   size_t locations = d.catalog.locations().num_locations();
   auto engine = std::make_unique<Engine>(
       std::move(d.catalog), NetworkModel::DefaultGeo(locations));
-  CGQ_RETURN_NOT_OK(engine->set_policy_index_mode(index_mode));
   CGQ_RETURN_NOT_OK(InstallDeploymentPolicies(
       Deployment{Catalog(engine->catalog()), d.policies},
       &engine->policies()));
@@ -133,19 +131,7 @@ Result<std::unique_ptr<Engine>> EngineFromFile(const std::string& path,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  PolicyIndexMode index_mode = PolicyIndexMode::kFlat;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--policy-index=flat") {
-      index_mode = PolicyIndexMode::kFlat;
-    } else if (arg == "--policy-index=hier") {
-      index_mode = PolicyIndexMode::kHierarchical;
-    } else {
-      std::printf("usage: %s [--policy-index=flat|hier]\n", argv[0]);
-      return 1;
-    }
-  }
+int main() {
 
   tpch::TpchConfig config;
   config.scale_factor = 0.002;
@@ -154,7 +140,6 @@ int main(int argc, char** argv) {
 
   auto engine_ptr = std::make_unique<Engine>(std::move(*catalog),
                                              NetworkModel::DefaultGeo(5));
-  if (!engine_ptr->set_policy_index_mode(index_mode).ok()) return 1;
   if (!tpch::InstallPolicySet("CR", &engine_ptr->policies()).ok()) return 1;
   if (!tpch::GenerateData(engine_ptr->catalog(), config,
                           &engine_ptr->store())
@@ -162,11 +147,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("cgq shell — geo-distributed TPC-H (SF %.3f, policy set CR, "
-              "%s policy index)\n"
+  std::printf("cgq shell — geo-distributed TPC-H (SF %.3f, policy set CR)\n"
               "type 'help;' for commands.\n",
-              config.scale_factor,
-              index_mode == PolicyIndexMode::kHierarchical ? "hier" : "flat");
+              config.scale_factor);
 
   // The shell fronts the engine with a single-worker QueryService so
   // tenant registration / auth / quotas behave exactly as they do in a
@@ -203,7 +186,7 @@ int main(int argc, char** argv) {
       if (lower == "quit" || lower == "exit") return 0;
       if (lower.rfind("source ", 0) == 0) {
         std::string path(Trim(command.substr(7)));
-        auto fresh = EngineFromFile(path, index_mode);
+        auto fresh = EngineFromFile(path);
         if (!fresh.ok()) {
           std::printf("%s\n", fresh.status().ToString().c_str());
           continue;
@@ -286,14 +269,10 @@ int main(int argc, char** argv) {
           }
         }
         const PolicyCatalog::IndexStats istats = engine.policies().Stats();
-        std::printf("  (policy epoch %llu | index %s: %zu active, "
+        std::printf("  (policy epoch %llu | index: %zu active, "
                     "%zu merged, %zu buckets, largest %zu)\n",
                     static_cast<unsigned long long>(
                         engine.policies().epoch()),
-                    engine.policies().index_mode() ==
-                            PolicyIndexMode::kHierarchical
-                        ? "hier"
-                        : "flat",
                     istats.active, istats.absorbed, istats.buckets,
                     istats.max_bucket);
         continue;

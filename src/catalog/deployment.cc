@@ -1,5 +1,6 @@
 #include "catalog/deployment.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -197,9 +198,19 @@ std::string WriteDeployment(const Catalog& catalog,
        << static_cast<long long>((*def)->stats.row_count) << "\n";
   }
   os << "\n";
+  // Every installed expression, absorbed ones included (the index merges
+  // subsumed expressions, but the deployment states all of them), in id
+  // order — the order they were installed in.
   for (LocationId l = 0; l < locs.num_locations(); ++l) {
-    for (const PolicyExpression& e : policies.For(l)) {
-      os << "policy " << locs.GetName(l) << " : " << e.ToString(locs)
+    std::vector<const PolicyExpression*> installed;
+    for (const PolicyExpression& e : policies.For(l)) installed.push_back(&e);
+    for (const auto& a : policies.Absorbed(l)) installed.push_back(&a.expr);
+    std::sort(installed.begin(), installed.end(),
+              [](const PolicyExpression* a, const PolicyExpression* b) {
+                return a->id < b->id;
+              });
+    for (const PolicyExpression* e : installed) {
+      os << "policy " << locs.GetName(l) << " : " << e->ToString(locs)
          << "\n";
     }
   }

@@ -52,14 +52,6 @@ class Engine {
     return policies_->AddPolicyText(location, text);
   }
 
-  /// Selects the policy-index layout (the `--policy-index` knob). Flat is
-  /// the reference; hierarchical buckets policies by predicate signature
-  /// and merges subsumed ones, with identical decisions. Only legal before
-  /// any policy is installed.
-  Status set_policy_index_mode(PolicyIndexMode mode) {
-    return policies_->set_index_mode(mode);
-  }
-
   /// Default optimizer configuration applied by the no-options overloads of
   /// Optimize()/Run(). Mutate to configure the engine once, e.g.
   /// `engine.default_options().threads = 8;`.

@@ -49,17 +49,18 @@ std::vector<ExprPtr> PremiseForAlias(const QuerySummary& summary,
 struct AliasPremise {
   const std::string* table;
   std::vector<ExprPtr> premise;
+  /// Implication-cache key; computed only when the cache serves this
+  /// premise (see `constraints`).
   ExprFingerprint fp;
-  /// Prebuilt premise side of the implication test (hierarchical index
-  /// mode only). When `simple()`, candidate predicates are tested directly
-  /// against it — bit-identical to PredicateImplies but without per-test
-  /// hashing or cache locking.
-  std::optional<PremiseConstraints> constraints;
+  /// Prebuilt premise side of the implication test. When `simple()`,
+  /// candidate predicates are tested directly against it — bit-identical
+  /// to PredicateImplies but without per-test hashing or cache locking.
+  PremiseConstraints constraints;
   /// Columns the premise mentions (bit i = column i of `table`). Only
   /// meaningful when `maskable`: every ref mapped to a bit, no empty IN
   /// list anywhere (a contradictory OR branch can imply atoms over columns
   /// the premise never names), and the premise itself not contradictory
-  /// (false implies anything). Computed in hierarchical index mode only.
+  /// (false implies anything).
   uint64_t premise_mask = 0;
   bool maskable = false;
 };
@@ -87,9 +88,8 @@ void AccumulatePremiseMask(const Expr& e, const Schema* schema,
   }
 }
 
-// Finalizer of the bucket-memo key components (splitmix64), so structured
-// inputs (ordinals, epochs) spread over all 64 bits before they are XORed
-// into the premise fingerprint.
+// splitmix64 finalizer: spreads structured inputs (database ids, epochs)
+// over all 64 bits before they are folded into a memo key.
 uint64_t MixKey(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -176,27 +176,22 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
     stats_.eval_ms += local.eval_ms;
   };
 
-  const bool hier =
-      policies_->index_mode() == PolicyIndexMode::kHierarchical;
-
-  // Hierarchical mode: a summary evaluated before (same database, same
-  // policy epoch) resolves from the catalog's evaluation memo without
-  // touching the index — except when the caller wants provenance, which
-  // the memo does not store. The stored set is the verbatim result of the
-  // full evaluation below, so decisions are identical either way.
-  uint64_t memo_a = 0, memo_b = 0;
-  if (hier) {
-    const ExprFingerprint sfp = SummaryFingerprint(summary);
-    memo_a = sfp.hi ^ MixKey((static_cast<uint64_t>(db) << 1) +
-                             policies_->epoch() * 0x9e3779b97f4a7c15ULL);
-    memo_b = sfp.lo;
-    if (grants == nullptr) {
-      if (std::optional<LocationSet> hit =
-              policies_->FindEvalMemo(memo_a, memo_b)) {
-        merge_stats();
-        span.AddArg("policies", static_cast<int64_t>(0));
-        return *hit;
-      }
+  // A summary evaluated before (same database, same policy epoch)
+  // resolves from the catalog's evaluation memo without touching the
+  // index — except when the caller wants provenance, which the memo does
+  // not store. The stored set is the verbatim result of the full
+  // evaluation below, so decisions are identical either way.
+  const ExprFingerprint sfp = SummaryFingerprint(summary);
+  const uint64_t salt = (static_cast<uint64_t>(db) << 1) +
+                        policies_->epoch() * 0x9e3779b97f4a7c15ULL;
+  const uint64_t memo_a = sfp.hi ^ MixKey(salt);
+  const uint64_t memo_b = sfp.lo;
+  if (grants == nullptr) {
+    if (std::optional<LocationSet> hit =
+            policies_->FindEvalMemo(memo_a, memo_b)) {
+      merge_stats();
+      span.AddArg("policies", static_cast<int64_t>(0));
+      return *hit;
     }
   }
 
@@ -222,7 +217,7 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
     legal.emplace(AttrFnPair{g, std::nullopt}, LocationSet());
   }
   if (legal.empty()) {
-    if (hier) policies_->StoreEvalMemo(memo_a, memo_b, LocationSet());
+    policies_->StoreEvalMemo(memo_a, memo_b, LocationSet());
     merge_stats();
     span.AddArg("policies", static_cast<int64_t>(0));
     return LocationSet();
@@ -234,22 +229,19 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
   std::vector<AliasPremise> instances;
   instances.reserve(summary.alias_tables.size());
   for (const auto& [alias, table] : summary.alias_tables) {
-    AliasPremise ap;
-    ap.table = &table;
-    ap.premise = PremiseForAlias(summary, alias);
-    // The fingerprint keys the implication cache and, in hierarchical
-    // mode, the catalog's bucket memo.
-    if (cache_ != nullptr || hier) ap.fp = FingerprintConjuncts(ap.premise);
-    if (hier) {
-      auto def = catalog_->GetTable(table);
-      const Schema* schema = def.ok() ? &(*def)->schema : nullptr;
-      bool ok = schema != nullptr;
-      for (const ExprPtr& c : ap.premise) {
-        AccumulatePremiseMask(*c, schema, &ap.premise_mask, &ok);
-      }
-      ap.constraints.emplace(ap.premise);
-      ap.maskable = ok && !ap.constraints->contradictory();
+    std::vector<ExprPtr> premise = PremiseForAlias(summary, alias);
+    PremiseConstraints constraints(premise);
+    AliasPremise ap{&table, std::move(premise), {}, std::move(constraints)};
+    if (cache_ != nullptr && !ap.constraints.simple()) {
+      ap.fp = FingerprintConjuncts(ap.premise);
     }
+    auto def = catalog_->GetTable(table);
+    const Schema* schema = def.ok() ? &(*def)->schema : nullptr;
+    bool ok = schema != nullptr;
+    for (const ExprPtr& c : ap.premise) {
+      AccumulatePremiseMask(*c, schema, &ap.premise_mask, &ok);
+    }
+    ap.maskable = ok && !ap.constraints.contradictory();
     instances.push_back(std::move(ap));
   }
 
@@ -299,44 +291,12 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
     }
   }
   // The catalog selects per-run candidates from the run's disclosed-column
-  // mask: the flat index hands back every expression over the table, the
-  // hierarchical one only buckets whose signature intersects the mask
-  // (pruning is off for a run with any unmappable column). In hierarchical
-  // mode the implication test itself also runs here, bucket by bucket, so
-  // its outcome can be memoized per (premise, bucket) in the catalog: all
-  // entries of a bucket share their predicate-column mask, and workloads
-  // re-evaluate the same premises — a warm Evaluate() does one memo lookup
-  // per bucket and walks only the implied entries.
+  // mask and premise cap: only buckets whose signature intersects the mask
+  // (pruning is off for a run with any unmappable column) and whose shared
+  // predicate columns every maskable instance premise constrains.
   std::vector<size_t> candidates;
   std::vector<size_t> candidate_table;  ///< candidate -> table_pairs index
-  /// 1 = implication already established for every instance (bucket memo);
-  /// 0 = eval_policy must run the per-instance tests itself.
-  std::vector<uint8_t> candidate_implied;
   size_t bucket_prefiltered = 0;
-
-  // Runs the per-instance implication dispatch for one candidate predicate
-  // — the single place deciding direct-constraint vs. cache vs. plain test,
-  // so the memoized and unmemoized paths stay bit-identical.
-  auto test_implies = [&](const AliasPremise& ap, const PolicyExpression& e,
-                          int32_t* tests, int32_t* hits, int32_t* misses) {
-    ++*tests;
-    if (ap.constraints.has_value() && ap.constraints->simple()) {
-      // Fully normalized premise: a direct constraint check beats even a
-      // memo hit (no hashing, no shard lock), same result bit for bit.
-      return ap.constraints->Implies(e.predicate);
-    }
-    if (cache_ != nullptr) {
-      bool hit = false;
-      bool ok = cache_->ImpliesPrehashed(ap.fp, ap.premise, e.predicate_fp,
-                                         e.predicate, &hit);
-      *hits += hit ? 1 : 0;
-      *misses += hit ? 0 : 1;
-      return ok;
-    }
-    return PredicateImplies(ap.premise, e.predicate);
-  };
-
-  const uint64_t memo_epoch = hier ? policies_->epoch() : 0;
   for (size_t run = 0; run < table_pairs.size(); ++run) {
     uint64_t query_mask = 0;
     bool mask_exact = true;
@@ -346,95 +306,18 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
     }
     // Intersection of the maskable instance premises for this run's table:
     // a policy predicate requiring a column outside it fails the (per-
-    // instance) implication for at least one instance, so whole buckets of
-    // such predicates are pruned before the candidate walk.
+    // instance) implication for at least one instance.
     uint64_t premise_cap = ~uint64_t{0};
     bool premise_capped = false;
-    std::vector<const AliasPremise*> run_instances;
     for (const AliasPremise& ap : instances) {
-      if (*ap.table != *run_tables[run]) continue;
-      run_instances.push_back(&ap);
-      if (!ap.maskable) continue;
+      if (*ap.table != *run_tables[run] || !ap.maskable) continue;
       premise_cap &= ap.premise_mask;
       premise_capped = true;
     }
-    if (!hier) {
-      policies_->AppendCandidates(db, *run_tables[run], query_mask,
-                                  mask_exact, premise_cap, premise_capped,
-                                  &candidates, &bucket_prefiltered);
-      candidate_table.resize(candidates.size(), run);
-      candidate_implied.resize(candidates.size(), 0);
-      continue;
-    }
-
-    // Ascending implied positions within one bucket, for one instance
-    // premise — memoized in the catalog under (premise fp, location,
-    // table, bucket ordinal, epoch).
-    const uint64_t table_salt =
-        MixKey(std::hash<std::string>{}(*run_tables[run]) +
-               (static_cast<uint64_t>(db) << 48) + memo_epoch * 0x9e3779b9);
-    auto implied_for =
-        [&](const AliasPremise& ap, size_t bucket,
-            const std::vector<size_t>& entries)
-        -> std::shared_ptr<const std::vector<uint32_t>> {
-      const uint64_t ka = ap.fp.hi ^ table_salt;
-      const uint64_t kb = ap.fp.lo ^ MixKey(bucket + 0x9e3779b97f4a7c15ULL);
-      if (auto hit = policies_->FindBucketMemo(ka, kb)) return hit;
-      auto implied = std::make_shared<std::vector<uint32_t>>();
-      int32_t tests = 0, hits = 0, misses = 0;
-      for (uint32_t i = 0; i < entries.size(); ++i) {
-        if (test_implies(ap, exprs[entries[i]], &tests, &hits, &misses)) {
-          implied->push_back(i);
-        }
-      }
-      local.implication_tests += tests;
-      local.implication_cache_hits += hits;
-      local.implication_cache_misses += misses;
-      std::shared_ptr<const std::vector<uint32_t>> v = std::move(implied);
-      policies_->StoreBucketMemo(ka, kb, v);
-      return v;
-    };
-
-    std::vector<size_t> unmaskable;
-    std::vector<uint32_t> cur;  // intersection across instances
-    policies_->ForEachBucket(
-        db, *run_tables[run], query_mask, mask_exact, premise_cap,
-        premise_capped,
-        [&](size_t bucket, const std::vector<size_t>& entries) {
-          // No instance of the table in the query: Algorithm 1 grants
-          // nothing from its policies (the any_instance condition).
-          if (run_instances.empty()) return;
-          bool first = true;
-          for (const AliasPremise* ap : run_instances) {
-            auto implied = implied_for(*ap, bucket, entries);
-            if (first) {
-              cur.assign(implied->begin(), implied->end());
-              first = false;
-            } else {
-              // Both ascending: keep positions implied for every instance.
-              size_t w = 0, j = 0;
-              for (uint32_t pos : cur) {
-                while (j < implied->size() && (*implied)[j] < pos) ++j;
-                if (j < implied->size() && (*implied)[j] == pos) {
-                  cur[w++] = pos;
-                }
-              }
-              cur.resize(w);
-            }
-            if (cur.empty()) break;
-          }
-          for (uint32_t pos : cur) {
-            candidates.push_back(entries[pos]);
-            candidate_table.push_back(run);
-            candidate_implied.push_back(1);
-          }
-        },
-        &unmaskable, &bucket_prefiltered);
-    for (size_t e : unmaskable) {
-      candidates.push_back(e);
-      candidate_table.push_back(run);
-      candidate_implied.push_back(0);
-    }
+    policies_->AppendCandidates(db, *run_tables[run], query_mask, mask_exact,
+                                premise_cap, premise_capped, &candidates,
+                                &bucket_prefiltered);
+    candidate_table.resize(candidates.size(), run);
   }
   local.candidates = static_cast<int64_t>(candidates.size());
   local.prefilter_skips += static_cast<int64_t>(bucket_prefiltered);
@@ -470,32 +353,34 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
     }
     if (!o.matched) return;
 
-    // P_q ⟹ P_e, for every instance of e's table in the query. Bucket-
-    // memoized candidates (hierarchical mode) arrive with the implication
-    // pre-established; only flat-mode and unmaskable candidates test here.
-    if (candidate_implied[ci] == 0) {
-      bool implied = true;
-      bool any_instance = false;
-      for (size_t ii = 0; ii < instances.size(); ++ii) {
-        const AliasPremise& ap = instances[ii];
-        if (*ap.table != e.table) continue;
-        any_instance = true;
-        if (e.pred_mask_valid && ap.maskable &&
-            (e.pred_mask & ~ap.premise_mask) != 0) {
-          // The policy predicate requires a column this (non-contradictory)
-          // premise never mentions — the implication test cannot succeed.
-          ++o.prefilter_skips;
-          implied = false;
-          break;
-        }
-        if (!test_implies(ap, e, &o.implication_tests, &o.cache_hits,
-                          &o.cache_misses)) {
-          implied = false;
-          break;
-        }
+    // P_q ⟹ P_e, for every instance of e's table in the query.
+    bool any_instance = false;
+    for (const AliasPremise& ap : instances) {
+      if (*ap.table != e.table) continue;
+      any_instance = true;
+      if (e.pred_mask_valid && ap.maskable &&
+          (e.pred_mask & ~ap.premise_mask) != 0) {
+        // The policy predicate requires a column this (non-contradictory)
+        // premise never mentions — the implication test cannot succeed.
+        ++o.prefilter_skips;
+        return;
       }
-      if (!any_instance || !implied) return;
+      ++o.implication_tests;
+      if (ap.constraints.simple()) {
+        // Fully normalized premise: a direct constraint check beats even
+        // a memo hit (no hashing, no shard lock), same result bit for bit.
+        if (!ap.constraints.Implies(e.predicate)) return;
+      } else if (cache_ != nullptr) {
+        bool hit = false;
+        const bool implied = cache_->ImpliesPrehashed(
+            ap.fp, ap.premise, e.predicate_fp, e.predicate, &hit);
+        ++(hit ? o.cache_hits : o.cache_misses);
+        if (!implied) return;
+      } else if (!PredicateImplies(ap.premise, e.predicate)) {
+        return;
+      }
     }
+    if (!any_instance) return;
     o.eta = true;  // Algorithm 1 reaches line 4.
 
     if (!e.is_aggregate()) {
@@ -583,7 +468,7 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
     result = result.Intersect(locs);
     if (result.empty()) break;
   }
-  if (hier) policies_->StoreEvalMemo(memo_a, memo_b, result);
+  policies_->StoreEvalMemo(memo_a, memo_b, result);
   merge_stats();
   span.AddArg("policies", static_cast<int64_t>(candidates.size()));
   span.AddArg("matched", local.expressions_matched);

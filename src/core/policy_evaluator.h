@@ -20,24 +20,20 @@ namespace cgq {
 /// test passes (Algorithm 1 reaching line 4).
 struct PolicyEvalStats {
   int64_t evaluations = 0;        ///< calls to Evaluate()
-  /// Expressions walked by the per-policy pass. Flat mode: everything the
-  /// index hands back. Hierarchical mode: only entries whose implication
-  /// already held for every instance (bucket memo) plus the unmaskable
-  /// catch-all — bucket entries that fail implication never reach the walk
-  /// (they show up in implication_tests when their bucket is filled cold),
-  /// and a summary answered by the evaluation memo walks nothing at all.
+  /// Expressions walked by the per-policy pass: the entries of every
+  /// bucket surviving the index's two prunes, plus the unmaskable
+  /// catch-all. A summary answered by the evaluation memo walks nothing.
   int64_t candidates = 0;
   int64_t expressions_matched = 0;  ///< A_q ∩ A_e ≠ ∅
-  /// Implication tests actually dispatched (direct / cache / plain). In
-  /// hierarchical mode a warm Evaluate() re-uses bucket-memoized outcomes
-  /// and may report 0.
+  /// Implication tests actually dispatched (direct / cache / plain). An
+  /// Evaluate() answered by the evaluation memo reports 0.
   int64_t implication_tests = 0;
   int64_t implication_cache_hits = 0;    ///< tests answered from the cache
   int64_t implication_cache_misses = 0;  ///< tests actually run
   /// Expressions skipped because their (bucket-shared) predicate mask
   /// requires columns no (non-contradictory) instance premise mentions —
-  /// the hierarchical index's bucket pre-filter, plus the per-instance
-  /// fallback for unmaskable entries; always 0 in flat mode.
+  /// the index's bucket pre-filter, plus the per-instance check in the
+  /// per-policy pass.
   int64_t prefilter_skips = 0;
   int64_t eta = 0;                ///< implication passed (line 4 reached)
   double eval_ms = 0;             ///< total time spent inside Evaluate()

@@ -63,16 +63,15 @@ std::vector<PolicyLintFinding> LintPolicies(const Catalog& catalog,
       }
     }
 
-    // Expressions absorbed by the catalog's online merge (hierarchical
-    // index mode): shadowed by construction — the absorber grants a
-    // superset for every query.
+    // Expressions absorbed by the catalog's online merge are shadowed by
+    // construction: the absorber grants a superset for every query. Same
+    // fact, same finding as the pairwise check above.
     for (const auto& ab : policies.Absorbed(l)) {
       findings.push_back(
           {Severity::kInfo, loc_name,
-           "expression \"" + ab.expr.ToString(locs) + "\" (id " +
-               std::to_string(ab.expr.id) + ") is merged into policy id " +
-               std::to_string(ab.absorbed_by) +
-               ", which grants a superset of its shipments"});
+           "expression \"" + ab.expr.ToString(locs) +
+               "\" is subsumed by another expression (id " +
+               std::to_string(ab.absorbed_by) + ") and can be removed"});
     }
 
     // Attributes with no egress at all.

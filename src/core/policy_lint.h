@@ -32,7 +32,9 @@ struct PolicyLintFinding {
 ///    (no-ops — info);
 ///  - basic expressions fully subsumed by another basic expression on the
 ///    same table (attributes ⊆, locations ⊆, and the subsumer's condition
-///    is implied by the subsumee's — redundant, info).
+///    is implied by the subsumee's — redundant, info), and expressions
+///    the catalog absorbed into a decision-safe superset (same wording,
+///    naming the absorber's id).
 std::vector<PolicyLintFinding> LintPolicies(const Catalog& catalog,
                                             const PolicyCatalog& policies);
 

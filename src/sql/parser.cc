@@ -93,6 +93,14 @@ class Parser {
     return Err("query nests deeper than " + std::to_string(kMaxNesting) +
                " levels");
   }
+  // Chain budget (see kMaxChainLinks): every binary-operator link of the
+  // statement counts, so the depth of any expression tree it builds is
+  // bounded by links plus nesting levels.
+  Status CountChainLink() {
+    if (++chain_links_ <= kMaxChainLinks) return Status::OK();
+    return Err("query chains more than " + std::to_string(kMaxChainLinks) +
+               " AND/OR/arithmetic operators");
+  }
 
   // Expression grammar (loosest to tightest binding).
   Result<ExprPtr> ParseExpr() {
@@ -140,11 +148,13 @@ class Parser {
   bool tag_literals_ = false;
   int next_param_ordinal_ = 0;
   int depth_ = 0;
+  int chain_links_ = 0;
 };
 
 Result<ExprPtr> Parser::ParseOr() {
   CGQ_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
   while (MatchIdent("or")) {
+    CGQ_RETURN_NOT_OK(CountChainLink());
     CGQ_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
     left = Expr::Binary(ExprOp::kOr, left, right);
   }
@@ -154,6 +164,7 @@ Result<ExprPtr> Parser::ParseOr() {
 Result<ExprPtr> Parser::ParseAnd() {
   CGQ_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
   while (MatchIdent("and")) {
+    CGQ_RETURN_NOT_OK(CountChainLink());
     CGQ_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
     left = Expr::Binary(ExprOp::kAnd, left, right);
   }
@@ -286,6 +297,7 @@ Result<ExprPtr> Parser::ParseAdditive() {
   while (Check(TokenType::kPlus) || Check(TokenType::kMinus)) {
     ExprOp op = Check(TokenType::kPlus) ? ExprOp::kAdd : ExprOp::kSub;
     Advance();
+    CGQ_RETURN_NOT_OK(CountChainLink());
     CGQ_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
     left = Expr::Binary(op, left, right);
   }
@@ -297,6 +309,7 @@ Result<ExprPtr> Parser::ParseMultiplicative() {
   while (Check(TokenType::kStar) || Check(TokenType::kSlash)) {
     ExprOp op = Check(TokenType::kStar) ? ExprOp::kMul : ExprOp::kDiv;
     Advance();
+    CGQ_RETURN_NOT_OK(CountChainLink());
     CGQ_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
     left = Expr::Binary(op, left, right);
   }
@@ -390,6 +403,8 @@ Result<Value> Parser::ParseLiteralValue() {
       return Err("expected literal");
     case TokenType::kMinus: {
       Advance();
+      CGQ_RETURN_NOT_OK(CheckNesting());
+      Nest nest(&depth_);
       CGQ_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
       if (v.is_int64()) return Value::Int64(-v.int64());
       if (v.is_double()) return Value::Double(-v.dbl());

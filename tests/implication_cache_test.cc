@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -182,16 +183,23 @@ TEST(ImplicationCacheTest, EvaluatorDecisionsIdenticalAcrossThreadCounts) {
   pconfig.template_name = "CRA";
   pconfig.count = 120;
   pconfig.seed = 99;
-  PolicyExpressionGenerator pgen(&*catalog, &properties, pconfig);
-  PolicyCatalog policies(&*catalog);
-  ASSERT_TRUE(pgen.InstallInto(&policies).ok());
+  // A fresh catalog per optimizer run: the catalog's evaluation memo
+  // would otherwise answer a second run's evaluations without any
+  // implication test, and the work counters below compare cold runs.
+  auto fresh_policies = [&] {
+    auto policies = std::make_unique<PolicyCatalog>(&*catalog);
+    PolicyExpressionGenerator pgen(&*catalog, &properties, pconfig);
+    EXPECT_TRUE(pgen.InstallInto(policies.get()).ok());
+    return policies;
+  };
 
   for (int q : {2, 3, 10}) {
     std::string sql = *tpch::Query(q);
     OptimizerOptions ref_opts;
     ref_opts.threads = 1;
     ref_opts.implication_cache = false;
-    QueryOptimizer reference(&*catalog, &policies, &net, ref_opts);
+    auto ref_policies = fresh_policies();
+    QueryOptimizer reference(&*catalog, ref_policies.get(), &net, ref_opts);
     auto ref = reference.Optimize(sql);
     ASSERT_TRUE(ref.ok());
 
@@ -199,7 +207,8 @@ TEST(ImplicationCacheTest, EvaluatorDecisionsIdenticalAcrossThreadCounts) {
       OptimizerOptions o;
       o.threads = threads;
       o.implication_cache = true;
-      QueryOptimizer par(&*catalog, &policies, &net, o);
+      auto policies = fresh_policies();
+      QueryOptimizer par(&*catalog, policies.get(), &net, o);
       auto got = par.Optimize(sql);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(ref->result_location, got->result_location)

@@ -336,8 +336,6 @@ TEST_F(LaunderingTest, MergedPolicyStillBlocksAfterDonorRemoval) {
   t.stats.row_count = 10;
   ASSERT_TRUE(catalog.AddTable(t).ok());
   Engine engine(std::move(catalog), NetworkModel::DefaultGeo(3));
-  ASSERT_TRUE(
-      engine.set_policy_index_mode(PolicyIndexMode::kHierarchical).ok());
 
   // Narrow donor first, wide absorber second: the index merges the donor
   // under the `ship *` policy.

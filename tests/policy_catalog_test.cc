@@ -141,8 +141,6 @@ class PolicyMetamorphicTest : public PolicyCatalogTest {
  protected:
   void SetUp() override {
     PolicyCatalogTest::SetUp();
-    policies_ = std::make_unique<PolicyCatalog>(
-        &catalog_, PolicyIndexMode::kHierarchical);
     for (const char* text :
          {"ship * from cust to e",
           "ship id from cust to e, a where bal > 100",
