@@ -19,6 +19,9 @@ namespace {
 /// Tri-state predicate outcome per selected row (SQL three-valued logic).
 enum Tri : uint8_t { kTriFalse = 0, kTriTrue = 1, kTriNull = 2 };
 
+bool IsAnd(ExprOp op) { return op == ExprOp::kAnd; }
+bool IsOr(ExprOp op) { return op == ExprOp::kOr; }
+
 /// One comparison/arithmetic operand classified for the typed fast paths.
 /// kGeneric covers kValue columns; family mixes between the sides route
 /// the whole kernel to the elementwise scalar fallback instead.
@@ -406,23 +409,32 @@ Result<VecVal> EvalExprVec(const Expr& expr, const ColumnBatch& batch,
     }
     case ExprOp::kAnd:
     case ExprOp::kOr: {
-      CGQ_ASSIGN_OR_RETURN(VecVal lv,
-                           EvalExprVec(*expr.child(0), batch, sel));
-      CGQ_ASSIGN_OR_RETURN(VecVal rv,
-                           EvalExprVec(*expr.child(1), batch, sel));
-      std::vector<uint8_t> lt = TriOf(lv, sel);
-      std::vector<uint8_t> rt = TriOf(rv, sel);
+      // A chain of one op folds along its left spine (see LeftSpine).
       const bool is_and = expr.op() == ExprOp::kAnd;
+      const LeftSpine spine(expr, is_and ? IsAnd : IsOr);
+      CGQ_ASSIGN_OR_RETURN(VecVal first,
+                           EvalExprVec(*spine.node(0).child(0), batch, sel));
+      std::vector<uint8_t> acc = TriOf(first, sel);
+      // Kleene logic: a decided operand dominates NULL on the others.
+      const uint8_t decided = is_and ? kTriFalse : kTriTrue;
+      for (size_t i = 0; i < spine.size(); ++i) {
+        CGQ_ASSIGN_OR_RETURN(
+            VecVal rv, EvalExprVec(*spine.node(i).child(1), batch, sel));
+        std::vector<uint8_t> rt = TriOf(rv, sel);
+        for (size_t k = 0; k < sel.size(); ++k) {
+          if (acc[k] == decided || rt[k] == decided) {
+            acc[k] = decided;
+          } else if (rt[k] == kTriNull) {
+            acc[k] = kTriNull;
+          }
+        }
+      }
       ColumnVector out = BoolCol(sel.size());
       for (size_t k = 0; k < sel.size(); ++k) {
-        // Kleene logic: a decided side dominates NULL on the other.
-        uint8_t decided = is_and ? kTriFalse : kTriTrue;
-        if (lt[k] == decided || rt[k] == decided) {
-          PushBool(&out, !is_and);
-        } else if (lt[k] == kTriNull || rt[k] == kTriNull) {
+        if (acc[k] == kTriNull) {
           PushNull(&out);
         } else {
-          PushBool(&out, is_and);
+          PushBool(&out, acc[k] == kTriTrue);
         }
       }
       return VecVal::Owned(std::move(out));
@@ -454,9 +466,15 @@ Result<VecVal> EvalExprVec(const Expr& expr, const ColumnBatch& batch,
     case ExprOp::kSub:
     case ExprOp::kMul:
     case ExprOp::kDiv: {
-      CGQ_ASSIGN_OR_RETURN(VecVal l, EvalExprVec(*expr.child(0), batch, sel));
-      CGQ_ASSIGN_OR_RETURN(VecVal r, EvalExprVec(*expr.child(1), batch, sel));
-      return ArithmeticVec(expr.op(), l, r, sel);
+      const LeftSpine spine(expr, IsArithmeticOp);
+      CGQ_ASSIGN_OR_RETURN(VecVal acc,
+                           EvalExprVec(*spine.node(0).child(0), batch, sel));
+      for (size_t i = 0; i < spine.size(); ++i) {
+        const Expr& node = spine.node(i);
+        CGQ_ASSIGN_OR_RETURN(VecVal r, EvalExprVec(*node.child(1), batch, sel));
+        CGQ_ASSIGN_OR_RETURN(acc, ArithmeticVec(node.op(), acc, r, sel));
+      }
+      return acc;
     }
     case ExprOp::kLike:
     case ExprOp::kNotLike: {

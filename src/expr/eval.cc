@@ -10,6 +10,46 @@ namespace {
 
 Value BoolValue(bool b) { return Value::Int64(b ? 1 : 0); }
 
+bool IsAnd(ExprOp op) { return op == ExprOp::kAnd; }
+bool IsOr(ExprOp op) { return op == ExprOp::kOr; }
+
+// Kleene AND / OR over a chain of `top`'s op, folded along its left spine
+// with the recursive form's short-circuit: operands run left to right and
+// the first one that decides the chain (FALSE for AND, TRUE for OR) ends
+// it.
+Result<Value> EvalLogicalChain(const Expr& top, const Row& row,
+                               const RowLayout& layout) {
+  const bool is_and = top.op() == ExprOp::kAnd;
+  const LeftSpine spine(top, is_and ? IsAnd : IsOr);
+  bool any_null = false;
+  for (size_t i = 0; i <= spine.size(); ++i) {
+    const Expr& operand =
+        i == 0 ? *spine.node(0).child(0) : *spine.node(i - 1).child(1);
+    CGQ_ASSIGN_OR_RETURN(Value v, EvalExpr(operand, row, layout));
+    if (v.is_null()) {
+      any_null = true;
+    } else if (IsTruthyValue(v) != is_and) {
+      return BoolValue(!is_and);
+    }
+  }
+  if (any_null) return Value::Null();
+  return BoolValue(is_and);
+}
+
+// + - * / over an arithmetic chain, folded along its left spine.
+Result<Value> EvalArithmeticChain(const Expr& top, const Row& row,
+                                  const RowLayout& layout) {
+  const LeftSpine spine(top, IsArithmeticOp);
+  CGQ_ASSIGN_OR_RETURN(Value acc,
+                       EvalExpr(*spine.node(0).child(0), row, layout));
+  for (size_t i = 0; i < spine.size(); ++i) {
+    const Expr& node = spine.node(i);
+    CGQ_ASSIGN_OR_RETURN(Value r, EvalExpr(*node.child(1), row, layout));
+    CGQ_ASSIGN_OR_RETURN(acc, EvalArithmeticValues(node.op(), acc, r));
+  }
+  return acc;
+}
+
 }  // namespace
 
 bool IsTruthyValue(const Value& v) {
@@ -94,22 +134,9 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row,
       }
       return row[pos];
     }
-    case ExprOp::kAnd: {
-      CGQ_ASSIGN_OR_RETURN(Value l, EvalExpr(*expr.child(0), row, layout));
-      if (!l.is_null() && !IsTruthyValue(l)) return BoolValue(false);
-      CGQ_ASSIGN_OR_RETURN(Value r, EvalExpr(*expr.child(1), row, layout));
-      if (!r.is_null() && !IsTruthyValue(r)) return BoolValue(false);
-      if (l.is_null() || r.is_null()) return Value::Null();
-      return BoolValue(true);
-    }
-    case ExprOp::kOr: {
-      CGQ_ASSIGN_OR_RETURN(Value l, EvalExpr(*expr.child(0), row, layout));
-      if (!l.is_null() && IsTruthyValue(l)) return BoolValue(true);
-      CGQ_ASSIGN_OR_RETURN(Value r, EvalExpr(*expr.child(1), row, layout));
-      if (!r.is_null() && IsTruthyValue(r)) return BoolValue(true);
-      if (l.is_null() || r.is_null()) return Value::Null();
-      return BoolValue(false);
-    }
+    case ExprOp::kAnd:
+    case ExprOp::kOr:
+      return EvalLogicalChain(expr, row, layout);
     case ExprOp::kNot: {
       CGQ_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr.child(0), row, layout));
       if (v.is_null()) return Value::Null();
@@ -128,11 +155,8 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row,
     case ExprOp::kAdd:
     case ExprOp::kSub:
     case ExprOp::kMul:
-    case ExprOp::kDiv: {
-      CGQ_ASSIGN_OR_RETURN(Value l, EvalExpr(*expr.child(0), row, layout));
-      CGQ_ASSIGN_OR_RETURN(Value r, EvalExpr(*expr.child(1), row, layout));
-      return EvalArithmeticValues(expr.op(), l, r);
-    }
+    case ExprOp::kDiv:
+      return EvalArithmeticChain(expr, row, layout);
     case ExprOp::kLike:
     case ExprOp::kNotLike: {
       CGQ_ASSIGN_OR_RETURN(Value l, EvalExpr(*expr.child(0), row, layout));

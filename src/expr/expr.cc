@@ -321,4 +321,39 @@ std::vector<ExprPtr> SplitConjuncts(const ExprPtr& pred) {
   return out;
 }
 
+bool IsBinaryOp(ExprOp op) {
+  switch (op) {
+    case ExprOp::kLiteral:
+    case ExprOp::kColumnRef:
+    case ExprOp::kNot:
+    case ExprOp::kIn:
+      return false;
+    default:
+      return true;
+  }
+}
+
+bool IsArithmeticOp(ExprOp op) {
+  return op == ExprOp::kAdd || op == ExprOp::kSub || op == ExprOp::kMul ||
+         op == ExprOp::kDiv;
+}
+
+LeftSpine::LeftSpine(const Expr& top, bool (*in_chain)(ExprOp)) {
+  for (const Expr* e = &top;; e = e->child(0).get()) {
+    if (size_ < kInline) {
+      inline_[size_] = e;
+    } else {
+      deep_.push_back(e);
+    }
+    ++size_;
+    if (!in_chain(e->child(0)->op())) break;
+  }
+}
+
+const Expr& LeftSpine::node(size_t i) const {
+  const size_t from_top = size_ - 1 - i;
+  return from_top < kInline ? *inline_[from_top]
+                            : *deep_[from_top - kInline];
+}
+
 }  // namespace cgq

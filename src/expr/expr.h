@@ -180,6 +180,36 @@ struct AggCall {
 /// Splits a bound predicate into its top-level conjuncts (flattens AND).
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& pred);
 
+/// True for the ops with two operands: AND, OR, comparisons, arithmetic,
+/// LIKE / NOT LIKE.
+bool IsBinaryOp(ExprOp op);
+/// True for + - * /.
+bool IsArithmeticOp(ExprOp op);
+
+/// The left spine of a left-deep chain of binary nodes: `a OR b OR c`
+/// parses as ((a OR b) OR c), one tree level per operator. The chain is
+/// `top` plus every child(0) below it whose op satisfies `in_chain`.
+/// Walkers that fold a chain along its spine, operands left to right,
+/// instead of recursing once per link keep a stack depth independent of
+/// the chain's length. Short spines are held inline, so a row evaluator
+/// may build one per row without allocating.
+class LeftSpine {
+ public:
+  LeftSpine(const Expr& top, bool (*in_chain)(ExprOp));
+
+  /// Number of chain nodes (at least 1: `top`).
+  size_t size() const { return size_; }
+  /// Chain node `i`, innermost first: node(0).child(0) is the chain's
+  /// first operand and node(i).child(1) its (i + 2)-th.
+  const Expr& node(size_t i) const;
+
+ private:
+  static constexpr size_t kInline = 8;
+  const Expr* inline_[kInline];  ///< the outermost nodes, top first
+  std::vector<const Expr*> deep_;  ///< the rest, top first
+  size_t size_ = 0;
+};
+
 }  // namespace cgq
 
 #endif  // CGQ_EXPR_EXPR_H_

@@ -96,21 +96,24 @@ Result<ExprPtr> BindExpr(const ExprPtr& expr, const PlannerContext& ctx) {
     return ResolveColumn(*expr, ctx);
   }
   if (expr->children().empty()) return expr;
-  std::vector<ExprPtr> bound_children;
-  bound_children.reserve(expr->children().size());
-  for (const ExprPtr& c : expr->children()) {
-    CGQ_ASSIGN_OR_RETURN(ExprPtr b, BindExpr(c, ctx));
-    bound_children.push_back(std::move(b));
+  if (!IsBinaryOp(expr->op())) {
+    CGQ_ASSIGN_OR_RETURN(ExprPtr operand, BindExpr(expr->child(0), ctx));
+    if (expr->op() == ExprOp::kNot) {
+      return Expr::Unary(ExprOp::kNot, std::move(operand));
+    }
+    return Expr::InList(std::move(operand), expr->in_list(),
+                        expr->in_list_ordinals());
   }
-  switch (expr->op()) {
-    case ExprOp::kNot:
-      return Expr::Unary(ExprOp::kNot, bound_children[0]);
-    case ExprOp::kIn:
-      return Expr::InList(bound_children[0], expr->in_list(),
-                          expr->in_list_ordinals());
-    default:
-      return Expr::Binary(expr->op(), bound_children[0], bound_children[1]);
+  // A chain of binary operators (`a OR b OR ...`) is bound along its left
+  // spine rather than one recursion level per link.
+  const LeftSpine spine(*expr, IsBinaryOp);
+  CGQ_ASSIGN_OR_RETURN(ExprPtr acc, BindExpr(spine.node(0).child(0), ctx));
+  for (size_t i = 0; i < spine.size(); ++i) {
+    const Expr& node = spine.node(i);
+    CGQ_ASSIGN_OR_RETURN(ExprPtr right, BindExpr(node.child(1), ctx));
+    acc = Expr::Binary(node.op(), std::move(acc), std::move(right));
   }
+  return acc;
 }
 
 Result<BoundQuery> BindQuery(const QueryAst& ast, PlannerContext* ctx) {

@@ -4,6 +4,11 @@
 #include <set>
 
 #include "common/str_util.h"
+#include "optimizer/cardinality.h"
+#include "optimizer/memo.h"
+#include "plan/planner_context.h"
+#include "plan/query_planner.h"
+#include "sql/parser.h"
 #include "types/date.h"
 
 namespace cgq {
@@ -181,6 +186,22 @@ std::string AdhocQueryGenerator::Next() {
   // Pathological schema; return a trivial query rather than looping.
   return "SELECT nation.name FROM nation, region "
          "WHERE nation.regionkey = region.regionkey";
+}
+
+Result<std::vector<QuerySummary>> SingleDatabaseSummaries(
+    const Catalog& catalog, const std::string& sql) {
+  CGQ_ASSIGN_OR_RETURN(QueryAst ast, ParseQuery(sql));
+  PlannerContext ctx(&catalog);
+  CGQ_ASSIGN_OR_RETURN(LogicalPlan logical, PlanQueryAst(ast, &ctx));
+  CardinalityEstimator estimator(&ctx);
+  Memo memo(&ctx, &estimator);
+  memo.InsertTree(*logical.root);
+  memo.Explore();
+  std::vector<QuerySummary> out;
+  for (const Group& g : memo.groups()) {
+    if (g.summary.IsSingleDatabaseBlock()) out.push_back(g.summary);
+  }
+  return out;
 }
 
 }  // namespace cgq

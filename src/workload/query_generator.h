@@ -2,9 +2,12 @@
 #define CGQ_WORKLOAD_QUERY_GENERATOR_H_
 
 #include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
+#include "common/result.h"
 #include "common/rng.h"
+#include "plan/summary.h"
 #include "workload/properties.h"
 
 namespace cgq {
@@ -46,6 +49,13 @@ class AdhocQueryGenerator {
   QueryGeneratorConfig config_;
   Rng rng_;
 };
+
+/// The summary of every single-database group of `sql`'s explored memo:
+/// the subqueries whose legal ship sets policy evaluation computes (AR4).
+/// Tests and benches compare PolicyEvaluator::Evaluate against
+/// ReferenceEvaluate on these (summary, db) pairs.
+Result<std::vector<QuerySummary>> SingleDatabaseSummaries(
+    const Catalog& catalog, const std::string& sql);
 
 }  // namespace cgq
 

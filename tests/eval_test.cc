@@ -78,6 +78,18 @@ TEST_F(EvalTest, KleeneAndOr) {
   EXPECT_TRUE(Eval("a > 3 OR b > 3", Value::Null(), Value::Int64(1),
                    Value::Null())
                   ->is_null());
+  // Longer chains: a decided operand anywhere wins over NULLs before it.
+  EXPECT_TRUE(Eval("a > 3 AND b > 3 AND a < 9", Value::Null(),
+                   Value::Int64(5), Value::Null())
+                  ->is_null());
+  EXPECT_EQ(Eval("a > 3 AND b > 3 AND b < 0", Value::Null(), Value::Int64(5),
+                 Value::Null())
+                ->int64(),
+            0);
+  EXPECT_EQ(Eval("a > 3 OR b > 3 OR b = 1", Value::Null(), Value::Int64(1),
+                 Value::Null())
+                ->int64(),
+            1);
 }
 
 TEST_F(EvalTest, NotOfNull) {
@@ -99,6 +111,15 @@ TEST_F(EvalTest, Arithmetic) {
                 ->int64(),
             1);
   EXPECT_EQ(Eval("a - b = -1", Value::Int64(3), Value::Int64(4),
+                 Value::Null())
+                ->int64(),
+            1);
+  // Chains associate to the left: (3 - 4) - 3, and 3 + (4 * 2) - 3.
+  EXPECT_EQ(Eval("a - b - a = -4", Value::Int64(3), Value::Int64(4),
+                 Value::Null())
+                ->int64(),
+            1);
+  EXPECT_EQ(Eval("a + b * 2 - a = 8", Value::Int64(3), Value::Int64(4),
                  Value::Null())
                 ->int64(),
             1);

@@ -241,6 +241,11 @@ TEST_F(VectorNullSemanticsTest, AllNullColumnSurvivesProjectAndAggregate) {
 TEST_F(VectorNullSemanticsTest, DisjunctionUsesKleeneLogic) {
   ExpectAgree(
       "SELECT id FROM events WHERE amount > 90 OR kind = 'click'");
+  ExpectAgree(
+      "SELECT id FROM events WHERE amount > 90 OR kind = 'click' OR id < 3");
+  ExpectAgree(
+      "SELECT id FROM events WHERE (amount > 10 AND kind = 'click' AND "
+      "id > 2) OR amount - id - 1 < 5");
 }
 
 // --- Randomized digest soak --------------------------------------------------
